@@ -68,6 +68,11 @@ class ZeroEDResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _criteria_key(cfg: ZeroEDConfig) -> tuple | None:
+    """The config fields the derived criteria depend on, if they are used."""
+    return (cfg.model, cfg.n_prompt_samples) if cfg.use_criteria else None
+
+
 class ZeroEDRunner:
     """Stage-cached ZeroED executor over a single dataset."""
 
@@ -98,7 +103,7 @@ class ZeroEDRunner:
         return self._memo(("samples", cfg.seed, cfg.n_prompt_samples), build)
 
     def _criteria(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("criteria", cfg.model, k_eff, cfg.seed)
+        key = ("criteria", cfg.model, cfg.n_prompt_samples, k_eff, cfg.seed)
 
         def build():
             llm = SimulatedLLM(cfg.model, cfg.seed)
@@ -116,7 +121,7 @@ class ZeroEDRunner:
         return self._memo(key, build)
 
     def _features(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("features", cfg.model if cfg.use_criteria else "-", cfg.use_criteria, k_eff, cfg.seed)
+        key = ("features", _criteria_key(cfg), k_eff, cfg.seed)
 
         def build():
             usage = Usage()
@@ -134,8 +139,7 @@ class ZeroEDRunner:
 
     def _clustering(self, cfg: ZeroEDConfig, k_eff: int):
         feats = self._features(cfg, k_eff)
-        key = ("clusters", cfg.model if cfg.use_criteria else "-", cfg.use_criteria,
-               k_eff, cfg.sampling, cfg.label_rate, cfg.seed)
+        key = ("clusters", _criteria_key(cfg), k_eff, cfg.sampling, cfg.label_rate, cfg.seed)
 
         def build():
             n = len(self.ds.dirty)
@@ -150,7 +154,7 @@ class ZeroEDRunner:
         return self._memo(key, build)
 
     def _guidelines(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("guidelines", cfg.model, k_eff, cfg.seed)
+        key = ("guidelines", cfg.model, cfg.n_prompt_samples, k_eff, cfg.seed)
 
         def build():
             llm = SimulatedLLM(cfg.model, cfg.seed)
@@ -160,8 +164,8 @@ class ZeroEDRunner:
         return self._memo(key, build)
 
     def _labels(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("labels", cfg.model, cfg.use_criteria, k_eff, cfg.sampling,
-               cfg.label_rate, cfg.use_guidelines, cfg.seed)
+        key = ("labels", cfg.model, cfg.n_prompt_samples, cfg.use_criteria, k_eff,
+               cfg.sampling, cfg.label_rate, cfg.use_guidelines, cfg.batch_size, cfg.seed)
 
         def build():
             usage = Usage()

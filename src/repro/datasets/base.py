@@ -14,9 +14,11 @@ tuples).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import StructType
 
 ROW_ID = "__row_id"
 
@@ -73,6 +75,25 @@ class Dataset:
         pdf = self.dirty.copy()
         pdf.insert(0, ROW_ID, range(len(pdf)))
         return spark.createDataFrame(pdf)
+
+
+def map_in_pandas(
+    sdf: DataFrame,
+    fn: Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]],
+    schema: StructType | str,
+) -> DataFrame:
+    """``sdf.mapInPandas(fn, schema)`` for any column names.
+
+    PySpark resolves each input column of ``mapInPandas`` by name, which
+    parses a dot as a field path, so the columns cross into Python under
+    positional names and get their own names back in pandas.
+    """
+    names = sdf.columns
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        return fn(pdf.set_axis(names, axis=1) for pdf in batches)
+
+    return sdf.toDF(*(f"_{i}" for i in range(len(names)))).mapInPandas(run, schema=schema)
 
 
 def stringify(pdf: pd.DataFrame) -> pd.DataFrame:

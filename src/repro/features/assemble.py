@@ -13,21 +13,23 @@ own attribute with those of its top-k correlated attributes:
 
 Featurization runs as a Spark ``mapInPandas`` pass over the dirty table,
 parameterized by a picklable :class:`FeatureContext` holding the
-(broadcastable) count dictionaries and criteria specs. The same context
-featurizes synthetic augmentation rows on the driver with identical code,
-so training-time and prediction-time features agree by construction.
+(broadcastable) count dictionaries and criteria specs. One function,
+:func:`featurize_rows`, featurizes both the table's chunks and the
+synthetic augmentation rows on the driver, so training-time and
+prediction-time features agree by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
-from repro.datasets.base import ROW_ID
-from repro.features.criteria import Criterion
+from repro.datasets.base import ROW_ID, map_in_pandas
+from repro.features.criteria import Criterion, evaluate_criteria
 from repro.features.embedding import EMB_DIM, embed_value
 from repro.features.patterns import l1_pattern, l2_pattern, l3_pattern, l3_shape
 from repro.features.stats import DatasetStats
@@ -46,16 +48,13 @@ class FeatureContext:
     vicinity: dict[tuple[str, str], dict[tuple[str, str], int]]  # (attr, q) joint
     emb_dim: int = EMB_DIM
     related_weight: float = 0.4
-    _dim_cache: dict = field(default_factory=dict, repr=False)
 
     # ----------------------------------------------------------- helpers
     def base_dim(self, attr: str) -> int:
-        if attr not in self._dim_cache:
-            self._dim_cache[attr] = (
-                5 + len(self.related.get(attr, [])) + self.emb_dim
-                + len(self.criteria.get(attr, []))
-            )
-        return self._dim_cache[attr]
+        return (
+            5 + len(self.related.get(attr, [])) + self.emb_dim
+            + len(self.criteria.get(attr, []))
+        )
 
     def full_dim(self, attr: str) -> int:
         return self.base_dim(attr) + sum(
@@ -89,24 +88,8 @@ class FeatureContext:
             joint = self.vicinity.get((attr, q), {})
             out.append(loo(joint.get((value, vq), 0)) / denom if denom else 0.0)
         out.extend(embed_value(value, self.emb_dim))
-        for c in self.criteria.get(attr, []):
-            out.append(1.0 if c.evaluate(value, row) else 0.0)
+        out.extend(evaluate_criteria(self.criteria.get(attr, []), value, row))
         return np.asarray(out, dtype=np.float64)
-
-    def full_features(self, attr: str, row: dict) -> np.ndarray:
-        """Feat(D[i,j]) = f_base(own) ⊕ down-weighted f_base(related).
-
-        The related blocks are scaled by ``related_weight`` so that k-means
-        distances in the sampling stage stay dominated by the cell's own
-        error signals — the related attributes' embeddings say little about
-        *this* cell's correctness, and at equal weight (with 2 related
-        attributes they are 2/3 of the dimensions) they wash out cluster
-        purity and with it label propagation.
-        """
-        parts = [self.base_features(attr, row.get(attr, ""), row)]
-        for q in self.related.get(attr, []):
-            parts.append(self.related_weight * self.base_features(q, row.get(q, ""), row))
-        return np.concatenate(parts)
 
 
 def build_context(
@@ -137,21 +120,50 @@ def build_context(
     )
 
 
+def featurize_rows(
+    ctx: FeatureContext, rows: list[dict], attrs: list[str]
+) -> dict[str, np.ndarray]:
+    """Feat(D[i,j]) = f_base(own) ⊕ down-weighted f_base(related), per row.
+
+    Returns ``{attr: (len(rows), full_dim(attr))}`` for every attr in
+    ``attrs``. Each needed attribute's base block is computed once per row
+    and shared by every attribute that relates to it; real table chunks and
+    synthetic augmentation rows both featurize through here.
+
+    The related blocks are scaled by ``related_weight`` so that k-means
+    distances in the sampling stage stay dominated by the cell's own
+    error signals — the related attributes' embeddings say little about
+    *this* cell's correctness, and at equal weight (with 2 related
+    attributes they are 2/3 of the dimensions) they wash out cluster
+    purity and with it label propagation.
+    """
+    needed = dict.fromkeys(q for a in attrs for q in [a, *ctx.related.get(a, [])])
+    base = {
+        q: np.vstack([ctx.base_features(q, r.get(q, ""), r) for r in rows])
+        if rows
+        else np.zeros((0, ctx.base_dim(q)))
+        for q in needed
+    }
+    return {
+        a: np.hstack(
+            [base[a]] + [ctx.related_weight * base[q] for q in ctx.related.get(a, [])]
+        )
+        for a in attrs
+    }
+
+
 def featurize_pdf(ctx: FeatureContext, pdf: pd.DataFrame) -> dict[str, np.ndarray]:
     """Feature matrices {attr: (len(pdf), full_dim)} for a pandas chunk."""
-    rows = pdf.to_dict("records")
-    return {
-        a: np.vstack([ctx.full_features(a, r) for r in rows])
-        if rows
-        else np.zeros((0, ctx.full_dim(a)))
-        for a in ctx.attrs
-    }
+    return featurize_rows(ctx, pdf.to_dict("records"), ctx.attrs)
 
 
 def features_sdf(sdf: DataFrame, ctx: FeatureContext) -> DataFrame:
     """Spark featurization pass: ``(__row_id, f_<attr> array<double>, ...)``."""
-    schema = ", ".join(
-        [f"{ROW_ID} long"] + [f"f_{a} array<double>" for a in ctx.attrs]
+    # a StructType, not a DDL string: attribute names may hold spaces,
+    # hyphens or dots
+    schema = StructType(
+        [StructField(ROW_ID, LongType())]
+        + [StructField(f"f_{a}", ArrayType(DoubleType())) for a in ctx.attrs]
     )
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -162,7 +174,7 @@ def features_sdf(sdf: DataFrame, ctx: FeatureContext) -> DataFrame:
                 out[f"f_{a}"] = list(mats[a])
             yield pd.DataFrame(out)
 
-    return sdf.mapInPandas(run, schema=schema)
+    return map_in_pandas(sdf, run, schema)
 
 
 def collect_feature_matrices(

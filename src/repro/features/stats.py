@@ -25,7 +25,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.datasets.base import ROW_ID
+from repro.datasets.base import ROW_ID, map_in_pandas
 from repro.features.criteria import is_missing, try_float
 from repro.features.patterns import PATTERN_LEVELS
 
@@ -65,7 +65,7 @@ def pair_counts_sdf(sdf: DataFrame, attrs: list[str]) -> DataFrame:
                 )
             yield pd.concat(frames, ignore_index=True)
 
-    return sdf.mapInPandas(explode, schema=_LONG_SCHEMA).groupBy(
+    return map_in_pandas(sdf, explode, _LONG_SCHEMA).groupBy(
         "a1", "a2", "v1", "v2"
     ).count()
 

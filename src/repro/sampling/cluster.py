@@ -54,9 +54,9 @@ def kmeans_clustering(
     """MLlib k-means over the featurized DataFrame; centroid-nearest reps."""
     n = X.shape[0]
     k = max(2, min(k, n))
-    vec_df = feat_sdf.select(
-        ROW_ID, array_to_vector(F.col(f"f_{attr}")).alias("features")
-    )
+    # backtick-quoted so a dot in the attribute name is not a field path
+    col = F.col("`" + f"f_{attr}".replace("`", "``") + "`")
+    vec_df = feat_sdf.select(ROW_ID, array_to_vector(col).alias("features"))
     model = KMeans(k=k, seed=seed, maxIter=20).fit(vec_df)
     pred = (
         model.transform(vec_df)

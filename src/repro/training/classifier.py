@@ -17,7 +17,7 @@ from pyspark.ml.classification import MultilayerPerceptronClassifier
 from pyspark.ml.linalg import Vectors
 from pyspark.sql import SparkSession
 
-from repro.features.assemble import FeatureContext
+from repro.features.assemble import FeatureContext, featurize_rows
 from repro.training.construct import AttrTrainingData
 
 
@@ -36,7 +36,7 @@ def train_predict_attribute(
     X_parts = [X_full[td.real_positions]] if td.real_positions else []
     y_parts = [np.array(td.real_labels, dtype=float)] if td.real_labels else []
     if td.synth_rows:
-        X_parts.append(np.vstack([ctx.full_features(attr, r) for r in td.synth_rows]))
+        X_parts.append(featurize_rows(ctx, td.synth_rows, [attr])[attr])
         y_parts.append(np.ones(len(td.synth_rows)))
     if not X_parts:
         return np.zeros(X_full.shape[0], dtype=bool)

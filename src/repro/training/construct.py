@@ -123,9 +123,7 @@ def construct_training_data(
     td.real_labels = [propagated[p] for p in td.real_positions]
 
     if use_verification:
-        n_err = sum(td.real_labels)
-        n_clean = len(td.real_labels) - n_err
-        need = min(max(0, n_clean - n_err), max_synth)
+        need = min(max(0, td.n_clean - td.n_errors), max_synth)
         clean_rows_full = [row_of(p) for p, l in propagated.items() if l == 0]
         td.synth_rows = augment_errors(llm, attr, clean_rows_full, need)
     return td

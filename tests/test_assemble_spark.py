@@ -8,6 +8,7 @@ from repro.features.assemble import (
     collect_feature_matrices,
     features_sdf,
     featurize_pdf,
+    featurize_rows,
 )
 from repro.features.correlation import top_related
 from repro.features.criteria import Criterion
@@ -59,6 +60,35 @@ def test_spark_matches_driver_featurization(feats, ctx, hospital_tiny):
     local = featurize_pdf(ctx, pdf.head(20))
     for a in ctx.attrs[:4]:
         np.testing.assert_allclose(mats[a][:20], local[a], atol=1e-12)
+
+
+def test_featurize_pdf_matches_per_cell_reference(ctx, hospital_tiny):
+    """Each row is f_base(own) ⊕ related_weight·f_base(q), cell by cell."""
+    pdf = hospital_tiny.dirty.head(15).copy()
+    pdf.insert(0, ROW_ID, range(len(pdf)))
+    mats = featurize_pdf(ctx, pdf)
+    for i, row in enumerate(pdf.to_dict("records")):
+        for a in ctx.attrs:
+            ref = np.concatenate(
+                [ctx.base_features(a, row[a], row)]
+                + [ctx.related_weight * ctx.base_features(q, row[q], row) for q in ctx.related[a]]
+            )
+            np.testing.assert_array_equal(mats[a][i], ref)
+
+
+def test_synthetic_row_copy_featurizes_like_real_row(feats, ctx, hospital_tiny):
+    """A synthetic row equal to real row i gets mats[a][i] (classifier path)."""
+    _, mats = feats
+    for i in (0, 7, 42):
+        synth = hospital_tiny.dirty.iloc[i].to_dict()
+        for a in ctx.attrs:
+            np.testing.assert_array_equal(featurize_rows(ctx, [synth], [a])[a][0], mats[a][i])
+
+
+def test_zero_rows_keep_full_dim(ctx):
+    out = featurize_rows(ctx, [], ctx.attrs)
+    for a in ctx.attrs:
+        assert out[a].shape == (0, ctx.full_dim(a))
 
 
 def test_loo_unique_value_scores_zero(ctx):

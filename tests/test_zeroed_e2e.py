@@ -1,7 +1,17 @@
 """End-to-end ZeroED tests on a tiny hospital instance (session-cached)."""
 import pytest
 
-from repro.core.zeroed import ZeroEDConfig, ablation_configs
+from repro.core.zeroed import ZeroEDConfig, ZeroEDRunner, ablation_configs, run_zeroed
+from repro.datasets.base import Dataset
+
+
+def _project(ds: Dataset, cols: dict[str, str]) -> Dataset:
+    """``ds`` restricted to ``cols`` (old name -> new name)."""
+    return Dataset(
+        name=ds.name,
+        dirty=ds.dirty[list(cols)].rename(columns=cols),
+        clean=ds.clean[list(cols)].rename(columns=cols),
+    )
 
 
 def test_mask_shape(hospital_result, hospital_tiny):
@@ -77,3 +87,31 @@ def test_sampling_methods_run(hospital_runner):
 def test_weak_model_underperforms(hospital_runner, hospital_result):
     weak = hospital_runner.run(ZeroEDConfig(label_rate=0.1, model="gpt-4o-mini"))
     assert weak.metrics["f1"] < hospital_result.metrics["f1"]
+
+
+@pytest.fixture(scope="module")
+def city_state_runner(spark, hospital_tiny):
+    """A runner over (city, state) that has already run the base config."""
+    runner = ZeroEDRunner(spark, _project(hospital_tiny, {"city": "city", "state": "state"}))
+    runner.run(ZeroEDConfig(label_rate=0.1, mlp_max_iter=15))
+    return runner
+
+
+@pytest.mark.parametrize("change", [{"batch_size": 5}, {"n_prompt_samples": 8}])
+def test_stage_cache_keys_cover_prompt_fields(spark, city_state_runner, change):
+    """A runner that already ran another config answers like a fresh one."""
+    cfg = ZeroEDConfig(label_rate=0.1, mlp_max_iter=15, **change)
+    warm = city_state_runner.run(cfg)
+    cold = ZeroEDRunner(spark, city_state_runner.ds).run(cfg)
+    assert warm.mask.equals(cold.mask)
+    assert warm.usage == cold.usage
+
+
+def test_any_attribute_name(spark, hospital_tiny):
+    """Spaces, hyphens and dots in attribute names survive every stage."""
+    ds = _project(hospital_tiny, {
+        "hospital_name": "hospital name", "zip_code": "zip-code", "provider_number": "provider.id",
+    })
+    res = run_zeroed(spark, ds, ZeroEDConfig(label_rate=0.1, mlp_max_iter=15))
+    assert list(res.mask.columns) == ds.attrs
+    assert res.mask.shape == ds.dirty.shape
