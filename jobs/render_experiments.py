@@ -3,11 +3,16 @@
 Run after ``pytest benchmarks/ --benchmark-only``:
 
     python jobs/render_experiments.py > EXPERIMENTS.md
+
+A table whose ``benchmarks/results/<name>.json`` is missing is listed with
+the bench that writes it.
 """
 from __future__ import annotations
 
 import json
 import pathlib
+
+from repro.exp.tables import TABLES
 
 RESULTS = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
@@ -16,7 +21,7 @@ HEADER = """\
 
 All numbers below were produced by `pytest benchmarks/ --benchmark-only`
 (raw rows in `benchmarks/results/*.json`; regenerate any table standalone
-with `python jobs/run_tableN.py`). "paper" columns are transcribed from
+with `python jobs/run_table.py NAME`). "paper" columns are transcribed from
 the ICDE 2025 paper.
 
 **Scale.** Datasets are generated at 300 tuples (Table V: 250; token
@@ -29,98 +34,17 @@ not expected (synthetic data + simulated LLM); the comparison targets are
 """
 
 
-def _f(x, nd=3):
-    return f"{x:.{nd}f}" if isinstance(x, float) else str(x)
-
-
-def _md_table(rows: list[dict], cols: list[str], headers: list[str] | None = None) -> str:
-    headers = headers or cols
-    out = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
-    for r in rows:
-        out.append("| " + " | ".join(_f(r.get(c, "")) for c in cols) + " |")
-    return "\n".join(out)
-
-
 def main() -> None:
     print(HEADER)
-
-    t2 = json.loads((RESULTS / "table2.json").read_text())
-    print("## Table II — dataset statistics\n")
-    print(
-        _md_table(
-            t2,
-            ["dataset", "tuples", "attrs", "err_pct", "mv_pct", "pv_pct", "t_pct",
-             "o_pct", "rv_pct", "paper_tuples", "paper_attrs", "paper_err_pct"],
-        )
-    )
-    print(
-        "\nPer-type rates split the overall Err% proportionally to the paper's\n"
-        "per-type columns (which overlap in the original). Tax uses a 1% rate\n"
-        "(0.11% of a 300-row subset would round to zero errors).\n"
-    )
-
-    t3 = json.loads((RESULTS / "table3.json").read_text())
-    print("## Table III — method comparison (P / R / F1, measured | paper)\n")
-    print(
-        _md_table(
-            t3,
-            ["dataset", "method", "prec", "rec", "f1", "paper_prec", "paper_rec", "paper_f1"],
-        )
-    )
-    by_m: dict[str, list[float]] = {}
-    for r in t3:
-        by_m.setdefault(r["method"], []).append(r["f1"])
-    ranking = sorted(by_m, key=lambda m: -sum(by_m[m]) / len(by_m[m]))
-    print(f"\nMean-F1 ranking (measured): {', '.join(ranking)}.\n")
-
-    t4 = json.loads((RESULTS / "table4.json").read_text())
-    print("## Table IV — ablations\n")
-    print(
-        _md_table(
-            t4,
-            ["dataset", "ablation", "prec", "rec", "f1", "paper_prec", "paper_rec", "paper_f1"],
-        )
-    )
-    print()
-
-    t5 = json.loads((RESULTS / "table5.json").read_text())
-    print("## Table V — LLM tiers\n")
-    print(
-        _md_table(
-            t5,
-            ["dataset", "model", "prec", "rec", "f1", "paper_prec", "paper_rec", "paper_f1"],
-        )
-    )
-    print()
-
-    t6 = json.loads((RESULTS / "table6.json").read_text())
-    print("## Table VI — sampling methods\n")
-    print(
-        _md_table(
-            t6,
-            ["dataset", "sampling", "prec", "rec", "f1", "paper_prec", "paper_rec", "paper_f1"],
-        )
-    )
-    print()
-
-    tk = json.loads((RESULTS / "tokens.json").read_text())
-    print("## Token cost (Fig. 8's numbers) — ZeroED vs FM_ED on Tax subsets\n")
-    print(
-        _md_table(
-            tk,
-            ["n_tuples", "zeroed_tokens", "fm_ed_tokens", "reduction_pct",
-             "zeroed_in", "zeroed_out", "fm_ed_in", "fm_ed_out"],
-        )
-    )
-    print(
-        "\nFM_ED grows linearly in dataset size (one full-tuple prompt per\n"
-        "tuple); ZeroED grows sublinearly (per-attribute prompts + a sampled\n"
-        "labeling budget) — the same shape as the paper's Fig. 8, whose ~90%\n"
-        "reduction is this trend at 200k tuples. One split differs: the\n"
-        "paper's ZeroED is output-token-heavy because real LLMs emit verbose\n"
-        "criteria/guideline text; our simulated completions are terse, so the\n"
-        "repro's ZeroED cost is input-dominated.\n"
-    )
+    for name, table in TABLES.items():
+        path = RESULTS / f"{name}.json"
+        if path.exists():
+            print(table.render(json.loads(path.read_text())))
+        else:
+            print(
+                f"## {table.title}\n\nNot generated yet: "
+                f"`pytest benchmarks/bench_{name}.py --benchmark-only` writes `{path.name}`.\n"
+            )
 
 
 if __name__ == "__main__":

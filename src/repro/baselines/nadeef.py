@@ -18,7 +18,7 @@ import re
 import pandas as pd
 from pyspark.sql import SparkSession, functions as F
 
-from repro.datasets.base import Dataset
+from repro.datasets.base import Dataset, column
 
 
 def detect(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
@@ -27,10 +27,10 @@ def detect(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     # --- FD violations (Spark groupBy: lhs groups with >1 distinct rhs)
     for lhs, rhs in ds.fds:
         bad_groups = (
-            sdf.groupBy(lhs)
-            .agg(F.countDistinct(rhs).alias("nd"))
+            sdf.groupBy(column(lhs))
+            .agg(F.countDistinct(column(rhs)).alias("nd"))
             .where(F.col("nd") > 1)
-            .select(lhs)
+            .select(column(lhs))
             .toPandas()[lhs]
         )
         bad = set(bad_groups)

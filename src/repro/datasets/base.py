@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession, functions as F
 from pyspark.sql.types import StructType
 
 ROW_ID = "__row_id"
@@ -75,6 +75,12 @@ class Dataset:
         pdf = self.dirty.copy()
         pdf.insert(0, ROW_ID, range(len(pdf)))
         return spark.createDataFrame(pdf)
+
+
+def column(name: str) -> Column:
+    """``F.col`` for any column name: backtick-quoted, so a dot or space in
+    ``name`` is not parsed as a field path."""
+    return F.col("`" + name.replace("`", "``") + "`")
 
 
 def map_in_pandas(

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.ml.clustering import KMeans
 from pyspark.ml.functions import array_to_vector
-from pyspark.sql import DataFrame, functions as F
+from pyspark.sql import DataFrame
 
-from repro.datasets.base import ROW_ID
+from repro.datasets.base import ROW_ID, column
 
 
 @dataclass
@@ -54,9 +54,7 @@ def kmeans_clustering(
     """MLlib k-means over the featurized DataFrame; centroid-nearest reps."""
     n = X.shape[0]
     k = max(2, min(k, n))
-    # backtick-quoted so a dot in the attribute name is not a field path
-    col = F.col("`" + f"f_{attr}".replace("`", "``") + "`")
-    vec_df = feat_sdf.select(ROW_ID, array_to_vector(col).alias("features"))
+    vec_df = feat_sdf.select(ROW_ID, array_to_vector(column(f"f_{attr}")).alias("features"))
     model = KMeans(k=k, seed=seed, maxIter=20).fit(vec_df)
     pred = (
         model.transform(vec_df)

@@ -89,6 +89,30 @@ def test_nadeef_clean_dataset_mostly_unflagged(spark, hospital_tiny):
     assert mask.to_numpy().mean() < 0.02
 
 
+@pytest.mark.parametrize(
+    "fd, violating_rows",
+    [(("zip.code", "city name"), [0, 1]), (("city name", "zip.code"), [2, 5])],
+    ids=["zip_to_city", "city_to_zip"],
+)
+def test_nadeef_fd_on_dotted_and_spaced_names(spark, fd, violating_rows):
+    import pandas as pd
+
+    from repro.datasets.base import Dataset
+
+    dirty = pd.DataFrame(
+        {
+            "zip.code": ["10001", "10001", "10002", "10003", "10003", "10004"],
+            "city name": ["New York", "Newark", "Boston", "Chicago", "Chicago", "Boston"],
+        }
+    )
+    ds = Dataset(name="fd_names", dirty=dirty, clean=dirty.copy(), fds=[fd])
+    mask = nadeef.detect(spark, ds)
+    _shape_ok(mask, ds)
+    flagged = mask.any(axis=1)
+    assert list(flagged[flagged].index) == violating_rows
+    assert mask.loc[violating_rows].all().all()
+
+
 # ------------------------------------------------------------------- KATARA
 
 
